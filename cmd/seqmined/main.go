@@ -29,6 +29,16 @@ import (
 	"seqmine/internal/service"
 )
 
+// daemonQueueDepth resolves -queue-depth: 0 means 4× the in-flight bound.
+// The daemon sheds past a bounded queue by default, whereas the library's
+// QueueDepth 0 lets waiters queue without bound.
+func daemonQueueDepth(flagValue, inflight int) int {
+	if flagValue == 0 {
+		return 4 * inflight
+	}
+	return flagValue
+}
+
 // loadFlags collects repeated -load name=sequences[,hierarchy] flags.
 type loadFlags []string
 
@@ -105,7 +115,7 @@ func main() {
 		CacheSize:          *cacheSize,
 		Workers:            *workers,
 		MaxConcurrent:      inflight,
-		QueueDepth:         *queueDepth,
+		QueueDepth:         daemonQueueDepth(*queueDepth, inflight),
 		ResultCacheSize:    *resultCache,
 		Auth:               auth,
 		Catalog:            catalog,

@@ -13,6 +13,7 @@ package miner
 
 import (
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -74,7 +75,7 @@ func lessSeq(a, b []dict.ItemID) bool {
 	return len(a) < len(b)
 }
 
-// CountOptions configures MineCount and SupportOf.
+// CountOptions configures MineCountOpts.
 type CountOptions struct {
 	// Prefilter enables the two-pass trick: a cheap backward reachability scan
 	// (fst.Flat.CanAccept) skips sequences without any accepting run before
@@ -101,8 +102,7 @@ func MineCountOpts(f *fst.FST, db []WeightedSequence, sigma int64, opts CountOpt
 	tab.reset()
 	var weight int64
 	add := func(cand []dict.ItemID) bool {
-		i, _ := tab.intern(cand)
-		tab.entries[i].count += weight
+		tab.entries[tab.intern(cand)].count += weight
 		return true
 	}
 	for _, ws := range db {
@@ -125,73 +125,10 @@ func MineCountOpts(f *fst.FST, db []WeightedSequence, sigma int64, opts CountOpt
 	return out
 }
 
-// Key returns a compact string key identifying a pattern, suitable for use as
-// a map key when merging partial results across database partitions. It is the
-// canonical packed encoding of dict.PackKey; dict.UnpackKey decodes it.
-func Key(seq []dict.ItemID) string { return dict.PackKey(seq) }
-
-// SupportOf computes the exact support in db of every pattern present in the
-// candidates set (keyed by Key). It is the counting phase of two-phase
-// partitioned mining: phase one mines each partition with a scaled-down local
-// threshold to obtain a candidate superset, phase two calls SupportOf per
-// partition and sums the returned counts. sigma is used only for the global
-// item-frequency pruning of candidate generation and must be the global
-// threshold.
-func SupportOf(f *fst.FST, db []WeightedSequence, sigma int64, candidates map[string]bool) map[string]int64 {
-	return SupportOfOpts(f, db, sigma, candidates, CountOptions{})
-}
-
-// SupportOfOpts is SupportOf with options. Like MineCountOpts, the counting
-// loop runs on the flat candidate enumeration: the candidate set is interned
-// into a pooled open-addressing table once up front and each enumerated
-// candidate is matched against it without forming a string key.
-func SupportOfOpts(f *fst.FST, db []WeightedSequence, sigma int64, candidates map[string]bool, opts CountOptions) map[string]int64 {
-	fl := f.Flatten()
-	tab := candPool.Get().(*candTable)
-	tab.reset()
-	keys := make([]string, 0, len(candidates))
-	for key, want := range candidates {
-		if !want {
-			continue
-		}
-		if i, inserted := tab.intern(dict.UnpackKey(key)); inserted {
-			for len(keys) <= i {
-				keys = append(keys, "")
-			}
-			keys[i] = key
-		}
-	}
-	hit := make([]bool, len(tab.entries))
-	var weight int64
-	add := func(cand []dict.ItemID) bool {
-		if i := tab.find(cand); i >= 0 {
-			tab.entries[i].count += weight
-			hit[i] = true
-		}
-		return true
-	}
-	for _, ws := range db {
-		if opts.Prefilter && !fl.CanAccept(ws.Items) {
-			continue
-		}
-		weight = ws.Weight
-		fl.ForEachDistinctCandidate(ws.Items, sigma, add)
-	}
-	counts := make(map[string]int64, len(tab.entries))
-	for i := range tab.entries {
-		if hit[i] {
-			counts[keys[i]] = tab.entries[i].count
-		}
-	}
-	candPool.Put(tab)
-	return counts
-}
-
 // candTable is an open-addressing hash table from candidate item sequences to
 // weighted counts. Candidates are interned back-to-back in one arena and slots
 // hold entry indices, so lookups and counting allocate nothing beyond arena
-// growth; keys are hashed with dict.HashItems, the slice-level twin of the
-// packed string keys (dict.PackKey) used across partition boundaries.
+// growth; keys are hashed with dict.HashItems.
 type candTable struct {
 	arena   []dict.ItemID
 	entries []candEntry
@@ -216,26 +153,9 @@ func (ct *candTable) reset() {
 	}
 }
 
-// find returns the entry index of cand, or -1 when absent.
-func (ct *candTable) find(cand []dict.ItemID) int {
-	h := dict.HashItems(cand)
-	mask := uint64(len(ct.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := ct.slots[i]
-		if s == 0 {
-			return -1
-		}
-		e := &ct.entries[s-1]
-		if e.hash == h && slices.Equal(ct.arena[e.off:e.off+e.n], cand) {
-			return int(s - 1)
-		}
-	}
-}
-
 // intern returns the entry index of cand, inserting a zero-count entry (and
-// copying the items into the arena) when absent. The second result reports
-// whether a new entry was created.
-func (ct *candTable) intern(cand []dict.ItemID) (int, bool) {
+// copying the items into the arena) when absent.
+func (ct *candTable) intern(cand []dict.ItemID) int {
 	h := dict.HashItems(cand)
 	mask := uint64(len(ct.slots) - 1)
 	i := h & mask
@@ -246,7 +166,7 @@ func (ct *candTable) intern(cand []dict.ItemID) (int, bool) {
 		}
 		e := &ct.entries[s-1]
 		if e.hash == h && slices.Equal(ct.arena[e.off:e.off+e.n], cand) {
-			return int(s - 1), false
+			return int(s - 1)
 		}
 		i = (i + 1) & mask
 	}
@@ -258,7 +178,7 @@ func (ct *candTable) intern(cand []dict.ItemID) (int, bool) {
 	if 4*len(ct.entries) >= 3*len(ct.slots) {
 		ct.grow()
 	}
-	return idx, true
+	return idx
 }
 
 // grow doubles the slot table and reinserts the live entries.
@@ -302,7 +222,7 @@ type DFSOptions struct {
 // The implementation works entirely on the flattened FST form (fst.Flat):
 // per-sequence accept/finish matrices are bitsets, simulation snapshots are
 // packed (pos, state) cells in int32 arrays, per-expansion projected databases
-// are flat int32 buffers, and all per-call scratch comes from a sync.Pool —
+// are flat int32 buffers, and all per-call scratch comes from a free list —
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
 // mining allocates only the per-sequence matrices and the reported patterns.
 func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []Pattern {
@@ -329,9 +249,9 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 			m.limit = opts.Pivot
 		}
 	}
-	m.sc = scratchPool.Get().(*dfsScratch)
+	m.sc = getScratch()
 	out := m.run()
-	scratchPool.Put(m.sc)
+	putScratch(m.sc)
 	return out
 }
 
@@ -381,7 +301,28 @@ type expBuf struct {
 	countIdx int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(dfsScratch) }}
+// scratchFree holds at most GOMAXPROCS idle scratches. Unlike a sync.Pool it
+// survives garbage collection: a scratch's projected-database buffers grow to
+// the size of the largest mining run, and regrowing them after every GC
+// dominated the allocation of whole-database runs. A call that finds the list
+// empty allocates a fresh scratch; a full list drops the returned one.
+var scratchFree = make(chan *dfsScratch, runtime.GOMAXPROCS(0))
+
+func getScratch() *dfsScratch {
+	select {
+	case sc := <-scratchFree:
+		return sc
+	default:
+		return new(dfsScratch)
+	}
+}
+
+func putScratch(sc *dfsScratch) {
+	select {
+	case scratchFree <- sc:
+	default:
+	}
+}
 
 type dfsMiner struct {
 	flat  *fst.Flat

@@ -3,6 +3,9 @@ package miner_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -162,7 +165,11 @@ func TestMineDFSMatchesMineCountRandom(t *testing.T) {
 	for _, pat := range patterns {
 		f := fst.MustCompile(pat, d)
 		for trial := 0; trial < 6; trial++ {
-			db := randomDB(rng, d, 12, 6)
+			numSeqs := 12
+			if trial == 5 {
+				numSeqs = 80 // enough distinct candidates to grow DESQ-COUNT's table
+			}
+			db := randomDB(rng, d, numSeqs, 6)
 			for _, sigma := range []int64{1, 2, 3} {
 				want := miner.PatternsToMap(d, miner.MineCount(f, miner.Weighted(db), sigma))
 				got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
@@ -245,15 +252,6 @@ func TestPrefilterPreservesResults(t *testing.T) {
 				if !reflect.DeepEqual(plainCount, preCount) {
 					t.Fatalf("pattern %q sigma %d: prefiltered COUNT %v != plain %v", pat, sigma, preCount, plainCount)
 				}
-				enc := map[string]bool{}
-				for _, p := range miner.MineCount(f, db, sigma) {
-					enc[string(miner.Key(p.Items))] = true
-				}
-				plainSup := miner.SupportOf(f, db, sigma, enc)
-				preSup := miner.SupportOfOpts(f, db, sigma, enc, miner.CountOptions{Prefilter: true})
-				if !reflect.DeepEqual(plainSup, preSup) {
-					t.Fatalf("pattern %q sigma %d: prefiltered SupportOf differs", pat, sigma)
-				}
 			}
 			for pivot := dict.ItemID(1); int(pivot) <= d.Size(); pivot++ {
 				plain := miner.PatternsToMap(d, miner.MineDFS(f, db, 2, miner.DFSOptions{Pivot: pivot, EarlyStopping: true}))
@@ -267,37 +265,73 @@ func TestPrefilterPreservesResults(t *testing.T) {
 	}
 }
 
-// TestSupportOfWeighted pins the aggregation semantics of the flat counting
-// path: weights of duplicate generated candidates sum per sequence weight, a
-// candidate touched only by zero-weight sequences still appears (with count
-// 0), candidates never generated stay absent, and want=false entries are
-// excluded from the query.
-func TestSupportOfWeighted(t *testing.T) {
+// TestMineCountWeighted pins the aggregation semantics of the flat counting
+// path: a sequence of weight w counts exactly like w copies of it, so a
+// zero-weight sequence contributes no support and candidates generated only
+// by it are not reported.
+func TestMineCountWeighted(t *testing.T) {
 	d, f, db := runningExample(t)
 	weighted := miner.Weighted(db)
 	weighted[0].Weight = 0 // T1 contributes structure but no support
 	weighted[4].Weight = 3 // T5 counts three times
-
-	enc := func(names ...string) string {
-		seq, err := d.EncodeSequence(names)
-		if err != nil {
-			t.Fatalf("encode %v: %v", names, err)
-		}
-		return miner.Key(seq)
-	}
-	a1b := enc("a1", "b")
-	t1only := enc("a1", "c", "d", "c", "b")
-	absent := enc("b")
-	excluded := enc("a1", "a1", "b")
-	cands := map[string]bool{a1b: true, t1only: true, absent: true, excluded: false}
+	expanded := miner.Weighted(append(slices.Clone(db[1:]), db[4], db[4]))
 
 	// sigma=1: no output filtering, so the expectations follow Fig. 1 directly.
-	got := miner.SupportOf(f, weighted, 1, cands)
-	want := map[string]int64{
-		a1b:    4, // T2 (1) + T5 (3); T1 has weight 0
-		t1only: 0, // generated only by the zero-weight T1
+	got := miner.PatternsToMap(d, miner.MineCountOpts(f, weighted, 1, miner.CountOptions{}))
+	if want := miner.PatternsToMap(d, miner.MineCount(f, expanded, 1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("weighted MineCountOpts = %v, want the expanded database's %v", got, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SupportOf = %v, want %v", got, want)
+	if got["a1 b"] != 4 { // T2 (1) + T5 (3); T1 has weight 0
+		t.Errorf("support of a1 b = %d, want 4", got["a1 b"])
 	}
+	if c, ok := got["a1 c d c b"]; ok { // generated only by the zero-weight T1
+		t.Errorf("a1 c d c b reported with support %d, want absent", c)
+	}
+	if dfs := miner.PatternsToMap(d, miner.MineDFS(f, weighted, 1, miner.DFSOptions{})); !reflect.DeepEqual(got, dfs) {
+		t.Errorf("weighted MineCountOpts = %v, MineDFS = %v", got, dfs)
+	}
+}
+
+// TestMineDFSConcurrentScratch runs more concurrent MineDFS calls than the
+// scratch free list holds (GOMAXPROCS+2), pivoted and unpivoted over
+// databases of different shapes, several rounds each. Scratches beyond the
+// list's capacity are allocated fresh and dropped on return; every call must
+// still equal its sequential result (run under -race in CI).
+func TestMineDFSConcurrentScratch(t *testing.T) {
+	d := paperex.Dict()
+	patterns := []string{paperex.PatternExpression, "[.*(.)]{1,3}.*", ".*(d) .* (b).*"}
+	type job struct {
+		f    *fst.FST
+		db   []miner.WeightedSequence
+		opts miner.DFSOptions
+		want []miner.Pattern
+	}
+	rng := rand.New(rand.NewSource(31))
+	jobs := make([]job, runtime.GOMAXPROCS(0)+2)
+	for i := range jobs {
+		j := &jobs[i]
+		j.f = fst.MustCompile(patterns[i%len(patterns)], d)
+		j.db = miner.Weighted(randomDB(rng, d, 10+5*i, 4+i))
+		if i%2 == 1 {
+			j.opts = miner.DFSOptions{Pivot: dict.ItemID(1 + i%d.Size()), EarlyStopping: true}
+		}
+		j.want = miner.MineDFS(j.f, j.db, 2, j.opts)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(j *job) {
+			defer wg.Done()
+			<-start
+			for round := 0; round < 5; round++ {
+				if got := miner.MineDFS(j.f, j.db, 2, j.opts); !reflect.DeepEqual(got, j.want) {
+					t.Errorf("job %d round %d: concurrent MineDFS = %v, want %v", i, round, got, j.want)
+					return
+				}
+			}
+		}(&jobs[i])
+	}
+	close(start)
+	wg.Wait()
 }

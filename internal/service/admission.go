@@ -13,8 +13,9 @@ import (
 
 // Admission control is the overload front door of the serving tier. Instead
 // of spawning an unbounded goroutine per request, at most MaxInFlight queries
-// mine at once, at most QueueDepth more wait for a slot, and everything past
-// that is shed immediately with an OverloadError carrying a Retry-After hint
+// mine at once, at most QueueDepth more wait for a slot (any number when
+// QueueDepth is 0), and everything past that is shed immediately with an
+// OverloadError carrying a Retry-After hint
 // — the HTTP layer turns it into 429 + Retry-After. Per-tenant in-flight
 // quotas are enforced at the same gate, before a query may occupy queue
 // space, so one tenant cannot starve the shared queue.
@@ -48,7 +49,7 @@ func IsOverload(err error) (*OverloadError, bool) {
 // bounds.
 type admission struct {
 	slots      chan struct{} // nil = unbounded
-	queueDepth int
+	queueDepth int           // waiting-room bound; 0 = unbounded, < 0 = none
 
 	mu         sync.Mutex
 	queued     int           // queries waiting for a slot
@@ -70,8 +71,9 @@ type admission struct {
 }
 
 // newAdmission builds the controller. maxInFlight <= 0 disables bounding
-// (and with it queueing and shedding); queueDepth <= 0 with a bound means no
-// waiting room — a query either gets a slot immediately or is shed.
+// (and with it queueing and shedding). With a bound, queueDepth 0 lets any
+// number of queries wait for a slot, so nothing is shed; queueDepth < 0 means
+// no waiting room — a query either gets a slot immediately or is shed.
 func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 	a := &admission{
 		queueDepth: queueDepth,
@@ -88,9 +90,6 @@ func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 	}
 	if maxInFlight > 0 {
 		a.slots = make(chan struct{}, maxInFlight)
-		if queueDepth < 0 {
-			a.queueDepth = 0
-		}
 	}
 	return a
 }
@@ -124,9 +123,9 @@ func (a *admission) acquire(ctx context.Context, tenant *Tenant) (func(), error)
 	default:
 	}
 
-	// Queue, bounded.
+	// Queue, bounded unless queueDepth is 0.
 	a.mu.Lock()
-	if a.queued >= a.queueDepth {
+	if a.queueDepth != 0 && a.queued >= max(a.queueDepth, 0) {
 		a.shedQueue++
 		a.mu.Unlock()
 		releaseTenant()
@@ -214,7 +213,7 @@ func (a *admission) shed(reason string) *OverloadError {
 // admissionStats is the point-in-time accounting of the admission gate.
 type admissionStats struct {
 	MaxInFlight   int   `json:"max_inflight"`
-	QueueDepth    int   `json:"queue_depth"`
+	QueueDepth    int   `json:"queue_depth"` // 0 = unbounded, < 0 = no waiting room
 	Queued        int   `json:"queued"`
 	QueuedMax     int   `json:"queued_max"`
 	Admitted      int64 `json:"admitted"`

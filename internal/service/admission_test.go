@@ -168,3 +168,69 @@ func TestRetryAfterScalesWithLoad(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want >= the 5s average service time", oe.RetryAfter)
 	}
 }
+
+// TestAdmissionQueueDepthZeroWaits pins the library contract of
+// Config.QueueDepth 0: with every mining slot held, extra queries wait for a
+// slot rather than being shed, however many arrive, and a release admits
+// exactly one of them.
+func TestAdmissionQueueDepthZeroWaits(t *testing.T) {
+	const slots, waiters = 2, 10 // more waiters than 4×slots
+	a := New(Config{MaxConcurrent: slots}).adm
+	var held []func()
+	for i := 0; i < slots; i++ {
+		release, err := a.acquire(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		held = append(held, release)
+	}
+	admitted := make(chan func(), waiters)
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			r, err := a.acquire(context.Background(), nil)
+			if err != nil {
+				errs <- err
+				return
+			}
+			admitted <- r
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s := a.stats(); s.Queued+int(s.ShedQueueFull) < waiters; s = a.stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want all %d waiters queued", s, waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s := a.stats(); s.ShedQueueFull != 0 || s.Queued != waiters || s.Admitted != slots {
+		t.Fatalf("stats = %+v, want %d queued, none shed, %d admitted", s, waiters, slots)
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("waiter failed: %v", err)
+	case <-admitted:
+		t.Fatal("waiter admitted while every slot was held")
+	default:
+	}
+
+	held[0]()
+	select {
+	case r := <-admitted:
+		held[0] = r
+	case <-time.After(5 * time.Second):
+		t.Fatal("no waiter admitted after a release")
+	}
+	if s := a.stats(); s.Queued != waiters-1 || s.Admitted != slots+1 {
+		t.Fatalf("stats = %+v, want %d queued, %d admitted", s, waiters-1, slots+1)
+	}
+
+	// Drain: every release admits the next waiter until none is left.
+	for i := 0; i < waiters-1; i++ {
+		held[0]()
+		held[0] = <-admitted
+	}
+	for _, r := range held {
+		r()
+	}
+}

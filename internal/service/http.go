@@ -28,7 +28,6 @@ type MineRequest struct {
 	Sigma     int64  `json:"sigma"`
 	Algorithm string `json:"algorithm,omitempty"` // dfs|count|dseq|dcand|naive|seminaive; default dseq
 	Workers   int    `json:"workers,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	// Limit truncates the response to the top-k patterns (0 = all).
 	Limit int `json:"limit,omitempty"`
@@ -178,7 +177,6 @@ func NewHandler(s *Service) http.Handler {
 		opts := DefaultExecOptions()
 		opts.Algorithm = algo
 		opts.Workers = req.Workers
-		opts.Shards = req.Shards
 		opts.SpillThreshold = req.SpillThresholdBytes
 		opts.SendBufferBytes = req.SendBufferBytes
 		opts.SendBufferMaxBytes = req.SendBufferMaxBytes

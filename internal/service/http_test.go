@@ -93,7 +93,6 @@ func TestMineEndToEnd(t *testing.T) {
 			Pattern:   paperex.PatternExpression,
 			Sigma:     paperex.Sigma,
 			Algorithm: algo,
-			Shards:    3,
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /mine (%s): status %d", algo, resp.StatusCode)

@@ -31,15 +31,12 @@ type QueryMetrics struct {
 	MineTime time.Duration `json:"mine_time_ns"`
 	// Patterns is the number of frequent sequences found.
 	Patterns int `json:"patterns"`
-	// Exec describes the partitioned execution.
+	// Exec describes how the query was executed.
 	Exec ExecStats `json:"exec"`
 	// MapReduce carries the BSP engine metrics for distributed backends
-	// (zero for the sharded sequential backends).
+	// (zero for the sequential backends).
 	MapReduce mapreduce.Metrics `json:"mapreduce"`
 }
-
-// Total returns the total serving time of the query.
-func (m QueryMetrics) Total() time.Duration { return m.CompileTime + m.MineTime }
 
 // aggregator accumulates service-wide counters across queries. One mutex
 // orders every update against snapshot(), so a snapshot is an internally

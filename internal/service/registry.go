@@ -119,16 +119,6 @@ func (r *Registry) CountOwned(owner string) int {
 	return n
 }
 
-// LoadFiles reads a database from a sequence file (and optional hierarchy
-// file) and registers it under name.
-func (r *Registry) LoadFiles(name, sequencesPath, hierarchyPath string) (uint64, error) {
-	db, err := seqdb.ReadFiles(sequencesPath, hierarchyPath)
-	if err != nil {
-		return 0, err
-	}
-	return r.Register(name, db)
-}
-
 // Acquire leases the named dataset for the duration of a query.
 func (r *Registry) Acquire(name string) (*Dataset, error) {
 	r.mu.RLock()
@@ -153,18 +143,6 @@ func (r *Registry) Unregister(name string) bool {
 	delete(r.entries, name)
 	r.mu.Unlock()
 	return ok
-}
-
-// Generation returns the current generation of the named dataset, or false if
-// it is not registered.
-func (r *Registry) Generation(name string) (uint64, bool) {
-	r.mu.RLock()
-	e := r.entries[name]
-	r.mu.RUnlock()
-	if e == nil {
-		return 0, false
-	}
-	return e.gen, true
 }
 
 // List describes all registered datasets, sorted by name.

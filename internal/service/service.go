@@ -7,10 +7,10 @@
 //   - a compiled-pattern cache, an LRU over compiled FSTs keyed by (dataset
 //     generation, pattern expression) with singleflight deduplication so
 //     concurrent identical queries compile once;
-//   - a partitioned query executor that shards the database over a bounded
-//     worker pool for the sequential backends (exact two-phase SON-style
-//     mining) and drives the BSP engine for the distributed ones, under a
-//     per-query context deadline;
+//   - a query executor that runs the sequential backends on the whole
+//     database and drives the BSP engine (pivot-partitioned, over a bounded
+//     worker pool) for the distributed ones, under a per-query context
+//     deadline;
 //   - per-query and aggregate metrics (compile/mine time, cache hit rate,
 //     patterns found) in the idiom of mapreduce.Metrics.
 //
@@ -41,14 +41,15 @@ type Config struct {
 	// its own; 0 uses all CPUs.
 	Workers int
 	// MaxConcurrent bounds the number of queries mining at once (the
-	// admission gate's in-flight bound). Excess queries wait in the bounded
-	// admission queue (QueueDepth); past that they are shed with an
+	// admission gate's in-flight bound). Excess queries wait in the
+	// admission queue (QueueDepth); past its bound they are shed with an
 	// OverloadError. 0 means unbounded (no queueing, no shedding).
 	MaxConcurrent int
 	// QueueDepth is the admission queue bound: how many queries may wait for
-	// a mining slot before the service sheds load. 0 defaults to
-	// 4×MaxConcurrent; negative means no waiting room (immediate shed when
-	// all slots are busy). Ignored when MaxConcurrent is 0.
+	// a mining slot before the service sheds load. 0 means no bound: excess
+	// queries wait and are never shed. Negative means no waiting room
+	// (immediate shed when all slots are busy). Ignored when MaxConcurrent
+	// is 0.
 	QueueDepth int
 	// ResultCacheSize is the capacity (entries) of the mined-result cache,
 	// keyed by (dataset generation, expression, sigma, algorithm) with
@@ -143,16 +144,12 @@ var ErrForbidden = errors.New("forbidden")
 
 // New creates a Service.
 func New(cfg Config) *Service {
-	queueDepth := cfg.QueueDepth
-	if queueDepth == 0 && cfg.MaxConcurrent > 0 {
-		queueDepth = 4 * cfg.MaxConcurrent
-	}
 	return &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(),
 		cache:   newFSTCache(cfg.CacheSize),
 		results: newResultCache(cfg.ResultCacheSize),
-		adm:     newAdmission(cfg.MaxConcurrent, queueDepth, cfg.Obs),
+		adm:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.Obs),
 	}
 }
 
@@ -522,17 +519,6 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 func (s *Service) stageHist(stage string) *obs.Histogram {
 	return s.cfg.Obs.Histogram("seqmine_query_stage_seconds",
 		"Wall-clock duration of query-serving stages.", obs.DurationBuckets, "stage", stage)
-}
-
-// Decode renders a mined pattern against the named dataset's current
-// dictionary.
-func (s *Service) Decode(dataset string, p miner.Pattern) (string, error) {
-	ds, err := s.reg.Acquire(dataset)
-	if err != nil {
-		return "", err
-	}
-	defer ds.Release()
-	return ds.DB.Dict.DecodeString(p.Items), nil
 }
 
 // Metrics returns a snapshot of the aggregate service metrics.

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,11 +37,10 @@ func newTestService(t *testing.T, cfg service.Config) (*service.Service, *seqdb.
 	return svc, db
 }
 
-func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, shards int, sigma int64) map[string]int64 {
+func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, sigma int64) map[string]int64 {
 	t.Helper()
 	opts := service.DefaultExecOptions()
 	opts.Algorithm = algo
-	opts.Shards = shards
 	resp, err := svc.Mine(context.Background(), service.Query{
 		Dataset:    "ex",
 		Expression: paperex.PatternExpression,
@@ -48,33 +48,17 @@ func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, 
 		Options:    opts,
 	})
 	if err != nil {
-		t.Fatalf("Mine(%s, shards=%d, sigma=%d): %v", algo, shards, sigma, err)
+		t.Fatalf("Mine(%s, sigma=%d): %v", algo, sigma, err)
 	}
 	return miner.PatternsToMap(resp.Dict, resp.Patterns)
 }
 
-// TestShardedMatchesSequential is the core exactness property of the
-// partitioned executor: for every shard count, two-phase sharded mining must
-// return exactly the patterns of the sequential miner on the whole database.
-func TestShardedMatchesSequential(t *testing.T) {
-	svc, db := newTestService(t, service.Config{})
-	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	for _, sigma := range []int64{1, 2, 3} {
-		want := miner.PatternsToMap(db.Dict, miner.MineCount(f, miner.Weighted(db.Sequences), sigma))
-		for _, algo := range []service.Algorithm{service.AlgoDFS, service.AlgoCount} {
-			for _, shards := range []int{1, 2, 3, 5, 8} {
-				got := mineViaService(t, svc, algo, shards, sigma)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d sigma=%d:\n got %v\nwant %v", algo, shards, sigma, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedMatchesSequentialRandom repeats the exactness check on larger
-// random databases and several pattern expressions.
-func TestShardedMatchesSequentialRandom(t *testing.T) {
+// TestAlgorithmsMatchUnpartitionedDFS is the cross-algorithm identity check
+// of the executor: on a random database, for several pattern expressions and
+// thresholds, the sequential backends (dfs, count) and the pivot-partitioned
+// ones (dseq, dcand) must all return exactly the patterns of MineDFS on the
+// whole database.
+func TestAlgorithmsMatchUnpartitionedDFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, seqs := paperex.RandomDatabase(rng, 300, 9)
 	db := &seqdb.Database{Dict: d, Sequences: seqs}
@@ -87,22 +71,27 @@ func TestShardedMatchesSequentialRandom(t *testing.T) {
 		"[.*(.)]{1,3}.*",
 		".*(A^)[.{0,1}(.)]{1,2}.*",
 	}
+	algos := []service.Algorithm{service.AlgoDFS, service.AlgoCount, service.AlgoDSeq, service.AlgoDCand}
 	for _, pat := range patterns {
 		f := fst.MustCompile(pat, d)
 		for _, sigma := range []int64{2, 5, 20} {
-			want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(seqs), sigma, miner.DFSOptions{}))
-			opts := service.DefaultExecOptions()
-			opts.Algorithm = service.AlgoDFS
-			opts.Shards = 4
-			resp, err := svc.Mine(context.Background(), service.Query{
-				Dataset: "rnd", Expression: pat, Sigma: sigma, Options: opts,
-			})
-			if err != nil {
-				t.Fatalf("pattern %q sigma %d: %v", pat, sigma, err)
-			}
-			got := miner.PatternsToMap(d, resp.Patterns)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("pattern %q sigma %d: sharded %v != sequential %v", pat, sigma, got, want)
+			want := miner.MineDFS(f, miner.Weighted(seqs), sigma, miner.DFSOptions{})
+			for _, algo := range algos {
+				opts := service.DefaultExecOptions()
+				opts.Algorithm = algo
+				resp, err := svc.Mine(context.Background(), service.Query{
+					Dataset: "rnd", Expression: pat, Sigma: sigma, Options: opts,
+				})
+				if err != nil {
+					t.Fatalf("%s pattern %q sigma %d: %v", algo, pat, sigma, err)
+				}
+				if !reflect.DeepEqual(resp.Patterns, want) {
+					t.Errorf("%s pattern %q sigma %d:\n got %v\nwant %v", algo, pat, sigma,
+						miner.PatternsToMap(d, resp.Patterns), miner.PatternsToMap(d, want))
+				}
+				if c := resp.Metrics.Exec.Candidates; c != len(resp.Patterns) {
+					t.Errorf("%s pattern %q sigma %d: Exec.Candidates = %d, want the %d patterns", algo, pat, sigma, c, len(resp.Patterns))
+				}
 			}
 		}
 	}
@@ -114,7 +103,7 @@ func TestDistributedBackends(t *testing.T) {
 	svc, _ := newTestService(t, service.Config{})
 	want := paperex.ExpectedFrequent()
 	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoNaive, service.AlgoSemiNaive} {
-		got := mineViaService(t, svc, algo, 0, paperex.Sigma)
+		got := mineViaService(t, svc, algo, paperex.Sigma)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s = %v, want %v", algo, got, want)
 		}
@@ -154,7 +143,7 @@ func TestCacheHitMetrics(t *testing.T) {
 }
 
 // TestConcurrentQueries exercises the service from many goroutines (run
-// under -race): a mix of algorithms and shard counts against the same
+// under -race): a mix of algorithms against the same
 // dataset, every result checked against the sequential reference, and the
 // compiled-pattern cache must compile each distinct expression exactly once.
 func TestConcurrentQueries(t *testing.T) {
@@ -172,7 +161,6 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			opts := service.DefaultExecOptions()
 			opts.Algorithm = algos[i%len(algos)]
-			opts.Shards = 1 + i%4
 			resp, err := svc.Mine(context.Background(), service.Query{
 				Dataset:    "ex",
 				Expression: paperex.PatternExpression,
@@ -215,6 +203,17 @@ func TestQueryDeadline(t *testing.T) {
 		if err != context.DeadlineExceeded {
 			t.Errorf("%s with expired deadline: err = %v, want DeadlineExceeded", algo, err)
 		}
+	}
+
+	// The service applies a query's own Timeout, else Config.DefaultTimeout.
+	q := service.Query{Dataset: "ex", Expression: paperex.PatternExpression, Sigma: 2, Timeout: time.Nanosecond}
+	if _, err := svc.Mine(context.Background(), q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("query with a 1ns Timeout: err = %v, want DeadlineExceeded", err)
+	}
+	defaulted, _ := newTestService(t, service.Config{DefaultTimeout: time.Nanosecond})
+	q.Timeout = 0
+	if _, err := defaulted.Mine(context.Background(), q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("query under a 1ns DefaultTimeout: err = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -479,7 +478,7 @@ func TestPrefilterThroughService(t *testing.T) {
 	plain, _ := newTestService(t, service.Config{})
 	defaulted, _ := newTestService(t, service.Config{Prefilter: true})
 	for _, algo := range algos {
-		want := mineViaService(t, plain, algo, 0, paperex.Sigma)
+		want := mineViaService(t, plain, algo, paperex.Sigma)
 
 		opts := service.DefaultExecOptions()
 		opts.Algorithm = algo
@@ -497,7 +496,7 @@ func TestPrefilterThroughService(t *testing.T) {
 			t.Errorf("%s: per-query prefilter changed results:\n got %v\nwant %v", algo, got, want)
 		}
 
-		if got := mineViaService(t, defaulted, algo, 0, paperex.Sigma); !reflect.DeepEqual(got, want) {
+		if got := mineViaService(t, defaulted, algo, paperex.Sigma); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Config.Prefilter default changed results:\n got %v\nwant %v", algo, got, want)
 		}
 	}

@@ -236,10 +236,9 @@ func Mine(db *Database, expression string, sigma int64, opts Options) (*Result, 
 }
 
 // MineConstraint mines the database with a previously compiled constraint.
-// The backend dispatch is shared with the service layer (internal/service);
-// the sequential algorithms run unsharded here, exactly as in the paper.
+// The backend dispatch is shared with the service layer (internal/service).
 func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Result, error) {
-	eo := opts.execOptions(1)
+	eo := opts.execOptions()
 	if eo.Cluster != nil {
 		eo.Cluster.Expression = c.expression
 	}
@@ -250,13 +249,11 @@ func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Re
 	return &Result{Patterns: patterns, Metrics: metrics}, nil
 }
 
-// execOptions maps Options to the service layer's execution options. shards
-// fixes the partition count of the sequential backends (1 = unsharded).
-func (o Options) execOptions(shards int) service.ExecOptions {
+// execOptions maps Options to the service layer's execution options.
+func (o Options) execOptions() service.ExecOptions {
 	eo := service.ExecOptions{
 		Algorithm:          o.Algorithm.serviceName(),
 		Workers:            o.Workers,
-		Shards:             shards,
 		UseGrid:            o.UseGrid,
 		Rewrite:            o.Rewrite,
 		EarlyStopping:      o.EarlyStopping,
@@ -304,7 +301,7 @@ func CountMatches(db *Database, c *Constraint) int {
 }
 
 // QueryMetrics describes the execution of one service query (compile/mine
-// time, cache hit, shard counts).
+// time, cache hit, execution stats).
 type QueryMetrics = service.QueryMetrics
 
 // ServiceMetrics is a snapshot of a service's aggregate metrics (queries
@@ -320,13 +317,13 @@ type ServiceOptions struct {
 	// its own; 0 uses all CPUs.
 	Workers int
 	// MaxConcurrent bounds the number of queries mining at once; 0 means
-	// unbounded. Excess queries wait in the bounded admission queue
-	// (QueueDepth) and past that are shed with an overload error.
+	// unbounded. Excess queries wait in the admission queue (QueueDepth)
+	// and past its bound are shed with an overload error.
 	MaxConcurrent int
 	// QueueDepth is the admission queue bound: how many queries may wait for
-	// a mining slot before the service sheds load. 0 defaults to
-	// 4×MaxConcurrent; negative means no waiting room. Ignored when
-	// MaxConcurrent is 0.
+	// a mining slot before the service sheds load. 0 means no bound (excess
+	// queries wait and are never shed); negative means no waiting room.
+	// Ignored when MaxConcurrent is 0.
 	QueueDepth int
 	// ResultCacheSize is the capacity (entries) of the mined-result cache,
 	// keyed by (dataset generation, expression, sigma, algorithm); 0 disables
@@ -367,8 +364,8 @@ type ServiceOptions struct {
 
 // Service is a long-lived, concurrency-safe mining service: it holds named
 // datasets, caches compiled FSTs across queries (with singleflight
-// deduplication of concurrent identical compilations) and mines queries over
-// a partitioned executor. It is the library-level counterpart of the
+// deduplication of concurrent identical compilations) and mines queries with
+// the same backends as Mine. It is the library-level counterpart of the
 // seqmined daemon.
 type Service struct {
 	inner *service.Service
@@ -412,14 +409,15 @@ func (s *Service) LoadDataset(name, sequencesPath, hierarchyPath string) error {
 func (s *Service) RemoveDataset(name string) bool { return s.inner.RemoveDataset(name) }
 
 // Mine runs one query against a registered dataset. Repeated queries with
-// the same expression reuse the cached compiled FST; execution is partitioned
-// over the service's worker pool and honors ctx cancellation and deadlines.
+// the same expression reuse the cached compiled FST; the distributed
+// algorithms run over the service's worker pool, and every query honors ctx
+// cancellation and deadlines.
 func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma int64, opts Options) (*Result, QueryMetrics, error) {
 	resp, err := s.inner.Mine(ctx, service.Query{
 		Dataset:    dataset,
 		Expression: expression,
 		Sigma:      sigma,
-		Options:    opts.execOptions(0),
+		Options:    opts.execOptions(),
 	})
 	if err != nil {
 		return nil, QueryMetrics{}, err

@@ -133,6 +133,21 @@ func TestReadDatabaseFiles(t *testing.T) {
 	if got := seqmine.PatternsAsMap(db, res.Patterns); !reflect.DeepEqual(got, paperex.ExpectedFrequent()) {
 		t.Errorf("file-based mining = %v, want %v", got, paperex.ExpectedFrequent())
 	}
+	// A service loads the same files.
+	svc := seqmine.NewService(seqmine.ServiceOptions{})
+	if err := svc.LoadDataset("ex", seqPath, hierPath); err != nil {
+		t.Fatal(err)
+	}
+	sres, _, err := svc.Mine(context.Background(), "ex", paperex.PatternExpression, paperex.Sigma, seqmine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqmine.PatternsAsMap(db, sres.Patterns); !reflect.DeepEqual(got, paperex.ExpectedFrequent()) {
+		t.Errorf("service mining of loaded files = %v, want %v", got, paperex.ExpectedFrequent())
+	}
+	if err := svc.LoadDataset("missing", filepath.Join(dir, "nope.txt"), ""); err == nil {
+		t.Error("expected LoadDataset error for missing sequence file")
+	}
 	// Missing files are reported.
 	if _, err := seqmine.ReadDatabaseFiles(filepath.Join(dir, "nope.txt"), ""); err == nil {
 		t.Error("expected error for missing sequence file")
